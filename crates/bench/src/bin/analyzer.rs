@@ -63,6 +63,7 @@
 
 use jepo_analyzer::gen::{generate_project, generate_project_with, GenConfig};
 use jepo_analyzer::{AnalysisMode, Analyzer, JavaComponent, Suggestion};
+use jepo_bench::report::{num, Args, Json};
 use jepo_core::corpus;
 use jepo_jlang::JavaProject;
 use std::collections::HashSet;
@@ -89,16 +90,22 @@ fn component_counts(suggestions: &[Suggestion]) -> Vec<(String, usize)> {
         .collect()
 }
 
-fn counts_json(counts: &[(String, usize)], total: usize) -> String {
-    let rows: Vec<String> = counts
-        .iter()
-        .map(|(name, n)| format!("    \"{name}\": {n}"))
-        .collect();
-    format!(
-        "{{\n  \"mode\": \"interproc+extended\",\n  \"total\": {total},\n  \
-         \"components\": {{\n{}\n  }}\n}}\n",
-        rows.join(",\n")
-    )
+/// The expectation file's content for `project`: what
+/// `--update-expected` writes and `--selfcheck` compares against.
+fn expected_counts(project: &JavaProject) -> Json {
+    let suggestions = Analyzer::interprocedural().analyze_project(project);
+    counts_json(&component_counts(&suggestions), suggestions.len())
+}
+
+fn counts_json(counts: &[(String, usize)], total: usize) -> Json {
+    Json::obj([
+        ("mode", "interproc+extended".into()),
+        ("total", total.into()),
+        (
+            "components",
+            Json::obj(counts.iter().map(|(name, n)| (name.as_str(), (*n).into()))),
+        ),
+    ])
 }
 
 /// Minimal reader for the expectation file: every `"Name": N` pair.
@@ -293,16 +300,16 @@ fn run_leg(project: &JavaProject, mode: AnalysisMode, jobs: usize, reps: u32) ->
     }
 }
 
-fn leg_json(leg: &Leg) -> String {
-    format!(
-        "    {{\"mode\": \"{}\", \"threads\": {}, \"runs_per_s\": {:.2}, \
-         \"ms_per_run\": {:.3}, \"suggestions\": {}}}",
-        leg.mode,
-        leg.threads,
-        leg.runs_per_s,
-        leg.secs_per_run * 1e3,
-        leg.suggestions
-    )
+impl Leg {
+    fn json(&self) -> Json {
+        Json::obj([
+            ("mode", self.mode.into()),
+            ("threads", self.threads.into()),
+            ("runs_per_s", num(self.runs_per_s, 2)),
+            ("ms_per_run", num(self.secs_per_run * 1e3, 3)),
+            ("suggestions", self.suggestions.into()),
+        ])
+    }
 }
 
 /// One incremental leg: `(name, secs_per_run, suggestions)`.
@@ -446,58 +453,37 @@ fn run_incremental_legs(gen_files: usize, threads: usize, reps: u32) -> IncrBenc
     }
 }
 
-fn incr_json(b: &IncrBench) -> String {
-    let rows: Vec<String> = b
-        .legs
-        .iter()
-        .map(|l| {
-            format!(
-                "      {{\"leg\": \"{}\", \"runs_per_s\": {:.2}, \
-                 \"ms_per_run\": {:.3}, \"suggestions\": {}}}",
-                l.name,
-                1.0 / l.secs_per_run.max(1e-12),
-                l.secs_per_run * 1e3,
-                l.suggestions
-            )
-        })
-        .collect();
-    format!(
-        "  \"incremental\": {{\n    \"generated_files\": {},\n    \
-         \"dirty_files\": {},\n    \"reps\": {},\n    \
-         \"warm_speedup\": {:.2},\n    \"legs\": [\n{}\n    ]\n  }}",
-        b.generated_files,
-        b.dirty_files,
-        b.reps,
-        b.warm_speedup,
-        rows.join(",\n")
-    )
+impl IncrBench {
+    fn json(&self) -> Json {
+        let legs = self.legs.iter().map(|l| {
+            Json::obj([
+                ("leg", l.name.into()),
+                ("runs_per_s", num(1.0 / l.secs_per_run.max(1e-12), 2)),
+                ("ms_per_run", num(l.secs_per_run * 1e3, 3)),
+                ("suggestions", l.suggestions.into()),
+            ])
+        });
+        Json::obj([
+            ("generated_files", self.generated_files.into()),
+            ("dirty_files", self.dirty_files.into()),
+            ("reps", self.reps.into()),
+            ("warm_speedup", num(self.warm_speedup, 2)),
+            ("legs", Json::Arr(legs.collect())),
+        ])
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::from_env(&["--gen-files", "--threads"]);
     let project = corpus::full_corpus();
+    let gen_files = args.flag("--gen-files").unwrap_or(1000).max(1);
+    let cores = jepo_pool::available_cores();
 
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse::<usize>().ok())
-    };
-    let gen_files = flag_value("--gen-files").unwrap_or(1000).max(1);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    if args.iter().any(|a| a == "--update-expected") {
-        let suggestions = Analyzer::interprocedural().analyze_project(&project);
-        let counts = component_counts(&suggestions);
-        let json = counts_json(&counts, suggestions.len());
-        std::fs::write(EXPECTED_PATH, &json)
-            .unwrap_or_else(|e| panic!("cannot write {EXPECTED_PATH}: {e}"));
-        println!("Wrote {EXPECTED_PATH} ({} suggestions).", suggestions.len());
+    if args.has("--update-expected") {
+        expected_counts(&project).write_artifact(EXPECTED_PATH);
         return;
     }
-    if args.iter().any(|a| a == "--selfcheck") {
+    if args.has("--selfcheck") {
         if let Err(msg) = selfcheck(&project).and_then(|()| incremental_selfcheck(gen_files, cores))
         {
             eprintln!("{msg}");
@@ -506,29 +492,14 @@ fn main() {
         return;
     }
 
-    let reps: u32 = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .find_map(|s| s.parse().ok())
-        .unwrap_or(40);
-    // Clamp to physical parallelism: timing more threads than cores
-    // measures oversubscription, not speedup. Keep what was asked for
-    // so the JSON can say when and why the clamp engaged.
-    let requested_threads = flag_value("--threads")
-        .unwrap_or_else(|| cores.max(2))
-        .max(1);
-    let threads = requested_threads.min(cores).max(1);
-    let clamp_note = (threads != requested_threads)
-        .then(|| format!("threads clamped from {requested_threads} to {cores} available core(s)"));
+    let reps: u32 = args.pos(0, 40);
+    let clamp = jepo_pool::clamp_to_cores(args.flag("--threads").unwrap_or(cores.max(2)));
+    let threads = clamp.effective;
 
     eprintln!(
         "analyzer microbench: {} corpus files, {reps} reps per leg, \
-         1 vs {threads} job(s), {cores} core(s){}…",
+         1 vs {threads} job(s), {cores} core(s)…",
         project.files().len(),
-        clamp_note
-            .as_deref()
-            .map(|n| format!(" [{n}]"))
-            .unwrap_or_default()
     );
 
     let mut legs = Vec::new();
@@ -607,28 +578,45 @@ fn main() {
         incr.warm_speedup, incr.generated_files, incr.dirty_files
     );
 
-    let rows: Vec<String> = legs.iter().map(leg_json).collect();
-    let note_field = clamp_note
-        .as_deref()
-        .map(|n| format!("  \"note\": \"{n}\",\n"))
-        .unwrap_or_default();
-    let json = format!(
-        "{{\n  \"bench\": \"analyzer\",\n  \"corpus_files\": {},\n  \
-         \"reps\": {reps},\n  \"threads\": {threads},\n  \
-         \"requested_threads\": {requested_threads},\n  \
-         \"available_cores\": {cores},\n{note_field}  \
-         \"flow_overhead_1t\": {flow_overhead_1t:.2},\n  \
-         \"interproc_overhead_1t\": {interproc_overhead_1t:.2},\n  \
-         \"syntactic_speedup\": {syntactic_speedup:.2},\n  \
-         \"flow_speedup\": {flow_speedup:.2},\n  \
-         \"interproc_speedup\": {interproc_speedup:.2},\n  \"legs\": [\n{}\n  ],\n{}\n}}\n",
-        project.files().len(),
-        rows.join(",\n"),
-        incr_json(&incr)
-    );
-    let path = "BENCH_analyzer.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("Wrote {path}."),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+    let mut fields = vec![
+        ("bench", "analyzer".into()),
+        ("corpus_files", project.files().len().into()),
+        ("reps", reps.into()),
+        ("threads", threads.into()),
+        ("requested_threads", clamp.requested.into()),
+        ("available_cores", cores.into()),
+    ];
+    if clamp.clamped() {
+        fields.push(("note", clamp.note().into()));
+    }
+    fields.extend([
+        ("flow_overhead_1t", num(flow_overhead_1t, 2)),
+        ("interproc_overhead_1t", num(interproc_overhead_1t, 2)),
+        ("syntactic_speedup", num(syntactic_speedup, 2)),
+        ("flow_speedup", num(flow_speedup, 2)),
+        ("interproc_speedup", num(interproc_speedup, 2)),
+        ("legs", Json::Arr(legs.iter().map(Leg::json).collect())),
+        ("incremental", incr.json()),
+    ]);
+    Json::obj(fields).write_artifact("BENCH_analyzer.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn counts_round_trip_through_the_expectation_format() {
+        let counts = vec![("StringConcat".to_string(), 3), ("Modulus".to_string(), 0)];
+        let text = counts_json(&counts, 3).render();
+        let mut expect = vec![("total".to_string(), 3)];
+        expect.extend(counts);
+        assert_eq!(parse_counts(&text), expect);
+    }
+
+    #[test]
+    fn update_expected_rewrites_the_checked_in_file_byte_for_byte() {
+        let checked_in = std::fs::read_to_string(EXPECTED_PATH).unwrap();
+        assert_eq!(expected_counts(&corpus::full_corpus()).render(), checked_in);
     }
 }

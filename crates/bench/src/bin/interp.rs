@@ -24,6 +24,7 @@
 //! Usage: `interp [reps] [--selfcheck]` (default reps 200000).
 //! Emits `BENCH_interp.json`.
 
+use jepo_bench::report::{num, Args, Json};
 use jepo_core::{corpus, JepoProfiler, ProfileReport};
 use jepo_jvm::interp::RunOutcome;
 use jepo_jvm::{Dispatch, Vm};
@@ -151,13 +152,9 @@ fn reports_identical(l: &ProfileReport, d: &ProfileReport, tag: &str) -> Vec<Str
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let selfcheck = args.iter().any(|a| a == "--selfcheck");
-    let reps: usize = args
-        .iter()
-        .find(|a| *a != "--selfcheck")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200_000);
+    let args = Args::from_env(&[]);
+    let selfcheck = args.has("--selfcheck");
+    let reps: usize = args.pos(0, 200_000);
 
     let src = microbench_src(reps);
     eprintln!("Microbench: {reps} iterations through all three engines…");
@@ -225,36 +222,44 @@ fn main() {
         }
     }
 
-    // Hand-rolled JSON (the workspace deliberately has no JSON dep).
-    let json = format!(
-        "{{\n  \"bench\": \"interp\",\n  \"reps\": {reps},\n  \
-         \"microbench\": {{\n    \"ops_executed\": {ops},\n    \
-         \"legacy_secs\": {legacy_secs:.6},\n    \"decoded_secs\": {decoded_secs:.6},\n    \
-         \"ir_secs\": {ir_secs:.6},\n    \
-         \"legacy_ops_per_sec\": {legacy_ops_sec:.0},\n    \
-         \"decoded_ops_per_sec\": {decoded_ops_sec:.0},\n    \
-         \"ir_ops_per_sec\": {ir_ops_sec:.0},\n    \
-         \"speedup\": {micro_speedup:.3},\n    \
-         \"ir_vs_legacy\": {ir_vs_legacy:.3},\n    \
-         \"ir_vs_decoded\": {ir_vs_decoded:.3},\n    \
-         \"ic_hits\": {},\n    \"ic_misses\": {},\n    \"ic_hit_rate\": {ic_hit_rate:.6}\n  }},\n  \
-         \"end_to_end\": {{\n    \
-         \"workload\": \"instrumented profiler, runnable WEKA corpus (NaiveBayes)\",\n    \
-         \"legacy_secs\": {e2e_legacy_secs:.6},\n    \"decoded_secs\": {e2e_decoded_secs:.6},\n    \
-         \"ir_secs\": {e2e_ir_secs:.6},\n    \
-         \"speedup\": {e2e_speedup:.3},\n    \
-         \"ir_speedup\": {e2e_ir_speedup:.3}\n  }},\n  \
-         \"selfcheck\": \"{selfcheck_status}\"\n}}\n",
-        decoded_out.ic_hits, decoded_out.ic_misses,
-    );
-    let path = "BENCH_interp.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("Wrote {path}"),
-        Err(e) => {
-            eprintln!("ERROR: could not write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    Json::obj([
+        ("bench", "interp".into()),
+        ("reps", reps.into()),
+        (
+            "microbench",
+            Json::obj([
+                ("ops_executed", ops.into()),
+                ("legacy_secs", num(*legacy_secs, 6)),
+                ("decoded_secs", num(*decoded_secs, 6)),
+                ("ir_secs", num(*ir_secs, 6)),
+                ("legacy_ops_per_sec", num(legacy_ops_sec, 0)),
+                ("decoded_ops_per_sec", num(decoded_ops_sec, 0)),
+                ("ir_ops_per_sec", num(ir_ops_sec, 0)),
+                ("speedup", num(micro_speedup, 3)),
+                ("ir_vs_legacy", num(ir_vs_legacy, 3)),
+                ("ir_vs_decoded", num(ir_vs_decoded, 3)),
+                ("ic_hits", decoded_out.ic_hits.into()),
+                ("ic_misses", decoded_out.ic_misses.into()),
+                ("ic_hit_rate", num(ic_hit_rate, 6)),
+            ]),
+        ),
+        (
+            "end_to_end",
+            Json::obj([
+                (
+                    "workload",
+                    "instrumented profiler, runnable WEKA corpus (NaiveBayes)".into(),
+                ),
+                ("legacy_secs", num(e2e_legacy_secs, 6)),
+                ("decoded_secs", num(e2e_decoded_secs, 6)),
+                ("ir_secs", num(e2e_ir_secs, 6)),
+                ("speedup", num(e2e_speedup, 3)),
+                ("ir_speedup", num(e2e_ir_speedup, 3)),
+            ]),
+        ),
+        ("selfcheck", selfcheck_status.into()),
+    ])
+    .write_artifact("BENCH_interp.json");
 
     if micro_speedup < 2.0 {
         eprintln!("WARNING: microbench speedup {micro_speedup:.2}× is below the 2× acceptance bar");

@@ -28,6 +28,7 @@
 //! (defaults 20,000,000 and 200,000; threads defaults to
 //! `max(2, cores)`; CI's perf-smoke passes a small budget).
 
+use jepo_bench::report::{num, Args, Json};
 use jepo_ml::{EfficiencyProfile, Kernel, Precision};
 use jepo_rapl::{OpCategory, OpCounter};
 use std::hint::black_box;
@@ -242,42 +243,15 @@ fn vector_leg(profile: EfficiencyProfile, threads: usize, iters: u64) -> Leg {
     }
 }
 
-fn leg_json(name: &str, threads: usize, leg: &Leg) -> String {
-    format!(
-        "    {{\"shape\": \"{name}\", \"threads\": {threads}, \
-         \"atomic_mops\": {:.2}, \"scoreboard_mops\": {:.2}, \
-         \"speedup\": {:.2}}}",
-        leg.atomic_mops, leg.scoreboard_mops, leg.speedup
-    )
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads_flag: Option<usize> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok());
-    let positional: Vec<&String> = {
-        let at = args.iter().position(|a| a == "--threads");
-        args.iter()
-            .enumerate()
-            .filter(|(i, _)| at.is_none_or(|j| *i != j && *i != j + 1))
-            .map(|(_, a)| a)
-            .collect()
-    };
-    let scalar_iters: u64 = positional
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_000_000);
-    let vector_iters: u64 = positional
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200_000);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads = threads_flag.unwrap_or_else(|| cores.max(2)).max(1);
+    let args = Args::from_env(&["--threads"]);
+    let scalar_iters: u64 = args.pos(0, 20_000_000);
+    let vector_iters: u64 = args.pos(1, 200_000);
+    let cores = jepo_pool::available_cores();
+    let threads = args
+        .flag("--threads")
+        .unwrap_or_else(|| cores.max(2))
+        .max(1);
 
     // The optimized profile's F32 quantization is the heavier arithmetic
     // path — the conservative choice for measuring accounting overhead.
@@ -318,17 +292,24 @@ fn main() {
         );
     }
 
-    let rows: Vec<String> = legs.iter().map(|(n, t, l)| leg_json(n, *t, l)).collect();
-    let json = format!(
-        "{{\n  \"bench\": \"kernel\",\n  \"scalar_iters\": {scalar_iters},\n  \
-         \"vector_iters\": {vector_iters},\n  \"vector_len\": {VECTOR_LEN},\n  \
-         \"threads\": {threads},\n  \"available_cores\": {cores},\n  \
-         \"scalar_1t_speedup\": {scalar_1t_speedup:.2},\n  \"legs\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    let path = "BENCH_kernel.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("Wrote {path}."),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    let rows = legs.iter().map(|(name, threads, leg)| {
+        Json::obj([
+            ("shape", (*name).into()),
+            ("threads", (*threads).into()),
+            ("atomic_mops", num(leg.atomic_mops, 2)),
+            ("scoreboard_mops", num(leg.scoreboard_mops, 2)),
+            ("speedup", num(leg.speedup, 2)),
+        ])
+    });
+    Json::obj([
+        ("bench", "kernel".into()),
+        ("scalar_iters", scalar_iters.into()),
+        ("vector_iters", vector_iters.into()),
+        ("vector_len", VECTOR_LEN.into()),
+        ("threads", threads.into()),
+        ("available_cores", cores.into()),
+        ("scalar_1t_speedup", num(scalar_1t_speedup, 2)),
+        ("legs", Json::Arr(rows.collect())),
+    ])
+    .write_artifact("BENCH_kernel.json");
 }

@@ -12,28 +12,15 @@
 //! `--jobs` fans the CV folds of each measurement out over N workers
 //! (0 = one per core); the measurements are bit-identical for every N.
 
+use jepo_bench::report::Args;
 use jepo_core::WekaExperiment;
 use jepo_ml::EfficiencyProfile;
 use jepo_rapl::Measurement;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    let classifier = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            let jobs_at = args.iter().position(|x| x == "--jobs");
-            jobs_at.is_none_or(|j| *i != j && *i != j + 1) && !a.starts_with("--")
-        })
-        .map(|(_, a)| a.clone())
-        .next()
-        .unwrap_or_else(|| "J48".into());
+    let args = Args::from_env(&["--jobs"]);
+    let jobs: usize = args.flag("--jobs").unwrap_or(1);
+    let classifier: String = args.pos(0, "J48".into());
     println!("Improvement vs dataset size — {classifier}\n");
     println!(
         "{:>10} {:>16} {:>16} {:>14}",

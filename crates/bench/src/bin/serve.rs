@@ -21,6 +21,7 @@
 //! Usage: `serve [--jobs N] [--clients N] [--requests N] [--selfcheck]`
 //! (defaults: jobs 0 = cores, 4 clients, 40 requests per client).
 
+use jepo_bench::report::{num, percentile, Args, Json};
 use jepo_serve::codec::Request;
 use jepo_serve::{client, ServerConfig};
 use std::time::Instant;
@@ -106,15 +107,6 @@ fn build_catalog() -> Vec<CatalogEntry> {
     catalog
 }
 
-/// Latency percentile (nearest-rank on a sorted copy), in milliseconds.
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted_ms.len() - 1) as f64).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
-}
-
 /// Summary of one phase's latencies.
 struct PhaseStats {
     requests: usize,
@@ -143,12 +135,17 @@ fn phase_stats(latencies_ms: &[f64], total_secs: f64) -> PhaseStats {
     }
 }
 
-fn phase_json(s: &PhaseStats) -> String {
-    format!(
-        "{{\"requests\": {}, \"total_secs\": {:.4}, \"mean_ms\": {:.4}, \
-         \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}}}",
-        s.requests, s.total_secs, s.mean_ms, s.p50_ms, s.p95_ms, s.p99_ms
-    )
+impl PhaseStats {
+    fn json(&self) -> Json {
+        Json::obj([
+            ("requests", self.requests.into()),
+            ("total_secs", num(self.total_secs, 4)),
+            ("mean_ms", num(self.mean_ms, 4)),
+            ("p50_ms", num(self.p50_ms, 4)),
+            ("p95_ms", num(self.p95_ms, 4)),
+            ("p99_ms", num(self.p99_ms, 4)),
+        ])
+    }
 }
 
 /// One timed request; returns `(latency_ms, cache_tag, body)`.
@@ -163,34 +160,16 @@ fn timed_request(addr: &str, req: &Request) -> Result<(f64, String, String), Str
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str, default: usize| -> usize {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    };
-    let jobs = flag("--jobs", 0);
-    let clients = flag("--clients", 4).max(1);
-    let per_client = flag("--requests", 40).max(1);
-    let selfcheck = args.iter().any(|a| a == "--selfcheck");
-
-    // The same clamp shape as the table4 bench: never oversubscribe,
-    // warn once, record what happened.
-    let (requested, effective, cores) = jepo_serve::clamp_workers(jobs);
-    let note = if requested > effective {
-        format!(
-            "requested {requested} worker(s) clamped to {effective} ({cores} core(s) available)"
-        )
-    } else {
-        format!("{effective} worker(s) on {cores} core(s)")
-    };
+    let args = Args::from_env(&["--jobs", "--clients", "--requests"]);
+    let clients = args.flag("--clients").unwrap_or(4).max(1);
+    let per_client = args.flag("--requests").unwrap_or(40).max(1);
+    let selfcheck = args.has("--selfcheck");
+    let clamp = jepo_pool::clamp_to_cores(args.flag("--jobs").unwrap_or(0));
 
     let queue_depth = clients * 4 + 8;
     let handle = jepo_serve::serve(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        workers: effective,
+        workers: clamp.effective,
         queue_depth,
         ..Default::default()
     })
@@ -332,29 +311,34 @@ fn main() {
         eprintln!("failure: {f}");
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \
-         \"requested_jobs\": {requested},\n  \"jobs\": {effective},\n  \
-         \"available_cores\": {cores},\n  \"note\": \"{note}\",\n  \
-         \"queue_depth\": {queue_depth},\n  \"clients\": {clients},\n  \
-         \"distinct_requests\": {},\n  \
-         \"cold\": {},\n  \"warm\": {},\n  \"sustained\": {},\n  \
-         \"sustained_req_per_s\": {req_per_s:.2},\n  \
-         \"warm_speedup\": {warm_speedup:.2},\n  \
-         \"warm_hits_sustained\": {sus_warm},\n  \
-         \"selfcheck\": {{\"enabled\": {selfcheck}, \"warm_equals_cold\": {bytes_ok}, \
-         \"dropped_requests\": {dropped}, \"request_errors\": {sus_errors}, \
-         \"warm_speedup_ok\": {warm_ok}, \"shutdown_ok\": {shutdown_ok}}}\n}}\n",
-        catalog.len(),
-        phase_json(&cold),
-        phase_json(&warm),
-        phase_json(&sustained),
-    );
-    let path = "BENCH_serve.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("Wrote {path}."),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    Json::obj([
+        ("bench", "serve".into()),
+        ("requested_jobs", clamp.requested.into()),
+        ("jobs", clamp.effective.into()),
+        ("available_cores", clamp.cores.into()),
+        ("note", clamp.note().into()),
+        ("queue_depth", queue_depth.into()),
+        ("clients", clients.into()),
+        ("distinct_requests", catalog.len().into()),
+        ("cold", cold.json()),
+        ("warm", warm.json()),
+        ("sustained", sustained.json()),
+        ("sustained_req_per_s", num(req_per_s, 2)),
+        ("warm_speedup", num(warm_speedup, 2)),
+        ("warm_hits_sustained", sus_warm.into()),
+        (
+            "selfcheck",
+            Json::obj([
+                ("enabled", selfcheck.into()),
+                ("warm_equals_cold", bytes_ok.into()),
+                ("dropped_requests", dropped.into()),
+                ("request_errors", sus_errors.into()),
+                ("warm_speedup_ok", warm_ok.into()),
+                ("shutdown_ok", shutdown_ok.into()),
+            ]),
+        ),
+    ])
+    .write_artifact("BENCH_serve.json");
 
     if selfcheck {
         let mut bad = Vec::new();

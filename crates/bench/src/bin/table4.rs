@@ -17,6 +17,7 @@
 //! the paper used 10,000 instances — pass it explicitly if you have a
 //! few minutes).
 
+use jepo_bench::report::{num, Args, Json};
 use jepo_core::{report, ClassifierResult, WekaExperiment};
 use std::time::Instant;
 
@@ -44,96 +45,17 @@ fn bit_identical(a: &[ClassifierResult], b: &[ClassifierResult]) -> bool {
         })
 }
 
-/// Hand-rolled JSON (the workspace deliberately has no JSON dependency).
-#[allow(clippy::too_many_arguments)]
-fn bench_json(
-    instances: usize,
-    folds: usize,
-    requested_jobs: usize,
-    jobs: usize,
-    cores: usize,
-    note: &str,
-    seq_secs: f64,
-    par_secs: f64,
-    identical: bool,
-    results: &[ClassifierResult],
-) -> String {
-    let mut rows = String::new();
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            rows.push(',');
-        }
-        rows.push_str(&format!(
-            "\n    {{\"classifier\": \"{}\", \"changes\": {}, \
-             \"package_improvement_pct\": {:.6}, \"cpu_improvement_pct\": {:.6}, \
-             \"time_improvement_pct\": {:.6}, \"accuracy_drop_pct\": {:.6}, \
-             \"converged\": {}}}",
-            r.name,
-            r.changes,
-            r.package_improvement_pct,
-            r.cpu_improvement_pct,
-            r.time_improvement_pct,
-            r.accuracy_drop_pct,
-            r.converged
-        ));
-    }
-    format!(
-        "{{\n  \"bench\": \"table4\",\n  \"instances\": {instances},\n  \
-         \"folds\": {folds},\n  \"requested_jobs\": {requested_jobs},\n  \
-         \"jobs\": {jobs},\n  \"available_cores\": {cores},\n  \
-         \"note\": \"{note}\",\n  \
-         \"sequential_secs\": {seq_secs:.3},\n  \"parallel_secs\": {par_secs:.3},\n  \
-         \"speedup\": {:.3},\n  \"bit_identical_to_sequential\": {identical},\n  \
-         \"rows\": [{rows}\n  ]\n}}\n",
-        seq_secs / par_secs.max(1e-9),
-    )
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    let positional: Vec<&String> = {
-        let jobs_at = args.iter().position(|a| a == "--jobs");
-        args.iter()
-            .enumerate()
-            .filter(|(i, _)| jobs_at.is_none_or(|j| *i != j && *i != j + 1))
-            .map(|(_, a)| a)
-            .collect()
-    };
-    let instances: usize = positional
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000);
-    let folds: usize = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(10);
+    let args = Args::from_env(&["--jobs"]);
+    let instances: usize = args.pos(0, 2_000);
+    let folds: usize = args.pos(1, 10);
     let exp = WekaExperiment {
         instances,
         folds,
         ..Default::default()
     };
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    // Oversubscribing the timing run only adds scheduler noise (workers
-    // time-slice one core and the "speedup" reads below 1×), so clamp
-    // to the cores actually available and record what happened.
-    let requested = jepo_pool::effective_jobs(jobs);
-    let effective = requested.min(cores);
-    let note = if requested > effective {
-        eprintln!(
-            "warning: --jobs {requested} exceeds the {cores} available core(s); \
-             clamping to {effective} (oversubscription only adds scheduler noise)"
-        );
-        format!(
-            "requested {requested} worker(s) clamped to {effective} ({cores} core(s) available)"
-        )
-    } else {
-        format!("{effective} worker(s) on {cores} core(s)")
-    };
+    let clamp = jepo_pool::clamp_to_cores(args.flag("--jobs").unwrap_or(1));
+    let effective = clamp.effective;
     eprintln!(
         "Running {} classifiers × 2 profiles, {instances} instances, {folds}-fold CV, \
          {effective} worker(s)…",
@@ -162,15 +84,32 @@ fn main() {
         eprintln!("ERROR: parallel run diverged from the sequential run");
     }
 
-    let json = bench_json(
-        instances, folds, requested, effective, cores, &note, seq_secs, par_secs, identical,
-        &results,
-    );
-    let path = "BENCH_table4.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("Wrote {path}."),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    let rows = results.iter().map(|r| {
+        Json::obj([
+            ("classifier", r.name.as_str().into()),
+            ("changes", r.changes.into()),
+            ("package_improvement_pct", num(r.package_improvement_pct, 6)),
+            ("cpu_improvement_pct", num(r.cpu_improvement_pct, 6)),
+            ("time_improvement_pct", num(r.time_improvement_pct, 6)),
+            ("accuracy_drop_pct", num(r.accuracy_drop_pct, 6)),
+            ("converged", r.converged.into()),
+        ])
+    });
+    Json::obj([
+        ("bench", "table4".into()),
+        ("instances", instances.into()),
+        ("folds", folds.into()),
+        ("requested_jobs", clamp.requested.into()),
+        ("jobs", effective.into()),
+        ("available_cores", clamp.cores.into()),
+        ("note", clamp.note().into()),
+        ("sequential_secs", num(seq_secs, 3)),
+        ("parallel_secs", num(par_secs, 3)),
+        ("speedup", num(seq_secs / par_secs.max(1e-9), 3)),
+        ("bit_identical_to_sequential", identical.into()),
+        ("rows", Json::Arr(rows.collect())),
+    ])
+    .write_artifact("BENCH_table4.json");
     println!("\nMarkdown:\n{}", report::table4_markdown(&results));
     if !identical {
         std::process::exit(1);

@@ -35,6 +35,7 @@
 //!         [--instances N] [--folds K] [--selfcheck]`
 //! (defaults 200,000 / 200 / 7 reps / 400 instances / 2 folds).
 
+use jepo_bench::report::{median, num, Args, Json};
 use jepo_core::{corpus, JepoProfiler, ProfilingMode, WekaExperiment};
 use jepo_jvm::Vm;
 use jepo_rapl::DeviceProfile;
@@ -103,11 +104,6 @@ fn leg_enabled_site(tracer: &Tracer, outer: u64, work: u64) -> f64 {
     ns
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.total_cmp(b));
-    xs[xs.len() / 2]
-}
-
 struct MicroResult {
     no_site_ns: f64,
     disabled_ns: f64,
@@ -134,9 +130,9 @@ fn micro(outer: u64, work: u64, reps: usize) -> MicroResult {
     }
     let no_min = no.iter().cloned().fold(f64::INFINITY, f64::min);
     let no_max = no.iter().cloned().fold(0.0f64, f64::max);
-    let no_site_ns = median(&mut no);
-    let disabled_ns = median(&mut dis);
-    let enabled_ns = median(&mut en);
+    let no_site_ns = median(&no);
+    let disabled_ns = median(&dis);
+    let enabled_ns = median(&en);
     MicroResult {
         no_site_ns,
         disabled_ns,
@@ -270,9 +266,9 @@ fn sampling_legs(reps: usize, interval_us: u64) -> SamplingResult {
         last = report.sampled;
     }
     let s = last.expect("sampling mode returns attribution");
-    let baseline_secs = median(&mut base);
-    let instrumented_secs = median(&mut inst);
-    let sampling_secs = median(&mut samp);
+    let baseline_secs = median(&base);
+    let instrumented_secs = median(&inst);
+    let sampling_secs = median(&samp);
     let floor = baseline_secs.max(1e-12);
     SamplingResult {
         baseline_secs,
@@ -290,37 +286,13 @@ fn sampling_legs(reps: usize, interval_us: u64) -> SamplingResult {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| -> Option<usize> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-    };
-    let selfcheck = args.iter().any(|a| a == "--selfcheck");
-    let flag_positions: Vec<usize> = ["--reps", "--instances", "--folds"]
-        .iter()
-        .filter_map(|f| args.iter().position(|a| a == f))
-        .flat_map(|i| [i, i + 1])
-        .chain(args.iter().position(|a| a == "--selfcheck"))
-        .collect();
-    let positional: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !flag_positions.contains(i))
-        .map(|(_, a)| a)
-        .collect();
-    let outer: u64 = positional
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200_000);
-    let work: u64 = positional
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200);
-    let reps = flag("--reps").unwrap_or(7).max(1);
-    let instances = flag("--instances").unwrap_or(400);
-    let folds = flag("--folds").unwrap_or(2);
+    let args = Args::from_env(&["--reps", "--instances", "--folds"]);
+    let outer: u64 = args.pos(0, 200_000);
+    let work: u64 = args.pos(1, 200);
+    let reps = args.flag("--reps").unwrap_or(7).max(1);
+    let instances = args.flag("--instances").unwrap_or(400);
+    let folds = args.flag("--folds").unwrap_or(2);
+    let selfcheck = args.has("--selfcheck");
 
     eprintln!(
         "telemetry bench: {outer} sites × {work} splitmix steps × {reps} reps; \
@@ -394,70 +366,75 @@ fn main() {
     .flatten()
     .collect();
 
-    let json = format!(
-        "{{\n  \"bench\": \"telemetry\",\n  \
-         \"outer_iters\": {outer},\n  \"work_per_iter\": {work},\n  \"reps\": {reps},\n  \
-         \"micro\": {{\n    \
-         \"no_site_ns\": {:.3},\n    \"disabled_site_ns\": {:.3},\n    \
-         \"enabled_site_ns\": {:.3},\n    \"noise_pct\": {:.3},\n    \
-         \"overhead_disabled_pct\": {:.3},\n    \"overhead_enabled_pct\": {:.3},\n    \
-         \"overhead_enabled_before_interning_pct\": {ENABLED_OVERHEAD_BEFORE_INTERNING_PCT:.2},\n    \
-         \"disabled_gate_pct\": {:.3}\n  }},\n  \
-         \"table4\": {{\n    \
-         \"instances\": {instances},\n    \"folds\": {folds},\n    \
-         \"off_secs\": {:.4},\n    \"on_secs\": {:.4},\n    \
-         \"overhead_pct\": {:.2},\n    \"trace_events\": {},\n    \
-         \"trace_spans\": {},\n    \"trace_tracks\": {},\n    \
-         \"trace_package_j\": {:.6},\n    \"metric_lines\": {},\n    \
-         \"deterministic_across_jobs\": {}\n  }},\n  \
-         \"sampling\": {{\n    \
-         \"interval_us\": {},\n    \"baseline_secs\": {:.4},\n    \
-         \"instrumented_secs\": {:.4},\n    \"sampling_secs\": {:.4},\n    \
-         \"instrumented_overhead_pct\": {:.2},\n    \"sampling_overhead_pct\": {:.2},\n    \
-         \"samples\": {},\n    \"dropped\": {},\n    \
-         \"calibration_j\": {:.9},\n    \"raw_total_j\": {:.9},\n    \
-         \"calibrated_total_j\": {:.9}\n  }},\n  \
-         \"selfcheck\": {{\n    \"enforced\": {selfcheck},\n    \"passed\": {},\n    \
-         \"failures\": [{}]\n  }}\n}}\n",
-        m.no_site_ns,
-        m.disabled_ns,
-        m.enabled_ns,
-        m.noise_pct,
-        m.overhead_disabled_pct,
-        m.overhead_enabled_pct,
-        disabled_gate,
-        t4.off_secs,
-        t4.on_secs,
-        t4.overhead_pct,
-        t4.stats.events,
-        t4.stats.spans,
-        t4.stats.tracks,
-        t4.stats.total_package_j,
-        t4.metric_lines,
-        t4.deterministic,
-        s.interval_us,
-        s.baseline_secs,
-        s.instrumented_secs,
-        s.sampling_secs,
-        s.instrumented_overhead_pct,
-        s.sampling_overhead_pct,
-        s.samples,
-        s.dropped,
-        s.calibration_j,
-        s.raw_total_j,
-        s.calibrated_total_j,
-        failures.is_empty(),
-        failures
-            .iter()
-            .map(|f| format!("\"{f}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let path = "BENCH_telemetry.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("Wrote {path}."),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    Json::obj([
+        ("bench", "telemetry".into()),
+        ("outer_iters", outer.into()),
+        ("work_per_iter", work.into()),
+        ("reps", reps.into()),
+        (
+            "micro",
+            Json::obj([
+                ("no_site_ns", num(m.no_site_ns, 3)),
+                ("disabled_site_ns", num(m.disabled_ns, 3)),
+                ("enabled_site_ns", num(m.enabled_ns, 3)),
+                ("noise_pct", num(m.noise_pct, 3)),
+                ("overhead_disabled_pct", num(m.overhead_disabled_pct, 3)),
+                ("overhead_enabled_pct", num(m.overhead_enabled_pct, 3)),
+                (
+                    "overhead_enabled_before_interning_pct",
+                    num(ENABLED_OVERHEAD_BEFORE_INTERNING_PCT, 2),
+                ),
+                ("disabled_gate_pct", num(disabled_gate, 3)),
+            ]),
+        ),
+        (
+            "table4",
+            Json::obj([
+                ("instances", instances.into()),
+                ("folds", folds.into()),
+                ("off_secs", num(t4.off_secs, 4)),
+                ("on_secs", num(t4.on_secs, 4)),
+                ("overhead_pct", num(t4.overhead_pct, 2)),
+                ("trace_events", t4.stats.events.into()),
+                ("trace_spans", t4.stats.spans.into()),
+                ("trace_tracks", t4.stats.tracks.into()),
+                ("trace_package_j", num(t4.stats.total_package_j, 6)),
+                ("metric_lines", t4.metric_lines.into()),
+                ("deterministic_across_jobs", t4.deterministic.into()),
+            ]),
+        ),
+        (
+            "sampling",
+            Json::obj([
+                ("interval_us", s.interval_us.into()),
+                ("baseline_secs", num(s.baseline_secs, 4)),
+                ("instrumented_secs", num(s.instrumented_secs, 4)),
+                ("sampling_secs", num(s.sampling_secs, 4)),
+                (
+                    "instrumented_overhead_pct",
+                    num(s.instrumented_overhead_pct, 2),
+                ),
+                ("sampling_overhead_pct", num(s.sampling_overhead_pct, 2)),
+                ("samples", s.samples.into()),
+                ("dropped", s.dropped.into()),
+                ("calibration_j", num(s.calibration_j, 9)),
+                ("raw_total_j", num(s.raw_total_j, 9)),
+                ("calibrated_total_j", num(s.calibrated_total_j, 9)),
+            ]),
+        ),
+        (
+            "selfcheck",
+            Json::obj([
+                ("enforced", selfcheck.into()),
+                ("passed", failures.is_empty().into()),
+                (
+                    "failures",
+                    Json::Arr(failures.iter().map(|&f| f.into()).collect()),
+                ),
+            ]),
+        ),
+    ])
+    .write_artifact("BENCH_telemetry.json");
 
     if selfcheck && !failures.is_empty() {
         for f in &failures {

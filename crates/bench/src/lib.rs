@@ -1,9 +1,9 @@
 //! # jepo-bench — benchmark harnesses
 //!
 //! One binary per paper table (`table1`–`table4`), one for the figures
-//! (`figures`), an ablation sweep (`ablation` bench + `dimensions` bin),
-//! and Criterion micro-benchmarks for the hot paths (classifier
-//! training, VM interpretation, analyzer throughput, RAPL sampling).
+//! (`figures`), and the ablations (`dimensions`: per-dimension and
+//! uniform-cost-model). The [`report`] module gives every bin the same
+//! `BENCH_*.json` writer, argument parser and percentiles.
 //!
 //! Reproduction targets:
 //!
@@ -15,9 +15,12 @@
 //! | Table IV  | `cargo run -p jepo-bench --bin table4 --release` |
 //! | Figs 1–5  | `cargo run -p jepo-bench --bin figures --release` |
 //!
-//! Perf microbenches (not paper artifacts): `--bin kernel` measures the
-//! op-accounting hot path (thread-local scoreboards vs the old per-op
-//! atomic design) and writes `BENCH_kernel.json`.
+//! Perf microbenches (not paper artifacts), each writing a
+//! `BENCH_*.json`: `kernel` (op accounting), `analyzer` (flow and
+//! incremental analysis), `interp` (dispatch engines), `telemetry`
+//! (tracing overhead) and `serve` (daemon throughput).
+
+pub mod report;
 
 /// Shared helper: print a section banner.
 pub fn banner(title: &str) {

@@ -14,7 +14,7 @@
 //! chunking would.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 /// Resolve a requested job count: `0` means "use the `JEPO_JOBS`
@@ -49,9 +49,64 @@ pub fn effective_jobs_with(requested: usize, env_jobs: Option<&str>) -> usize {
             }
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    available_cores()
+}
+
+/// Cores this process may run on (1 when the platform cannot tell).
+pub fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// A worker count after [`clamp_to_cores`]: what was asked for, what
+/// runs, and the cores that decided it.
+#[derive(Debug, Clone, Copy)]
+pub struct CoreClamp {
+    /// The request after [`effective_jobs`] resolved `0`.
+    pub requested: usize,
+    /// `min(requested, cores)`: the worker count actually used.
+    pub effective: usize,
+    /// [`available_cores`] at the time of the clamp.
+    pub cores: usize,
+}
+
+impl CoreClamp {
+    /// Whether the request exceeded the available cores.
+    pub fn clamped(&self) -> bool {
+        self.effective < self.requested
+    }
+
+    /// One-line record of the clamp, as the bench artifacts store it.
+    pub fn note(&self) -> String {
+        if self.clamped() {
+            format!(
+                "requested {} worker(s) clamped to {} ({} core(s) available)",
+                self.requested, self.effective, self.cores
+            )
+        } else {
+            format!("{} worker(s) on {} core(s)", self.effective, self.cores)
+        }
+    }
+}
+
+/// Resolve `requested` with [`effective_jobs`] and cap it at the
+/// available cores, warning on stderr when the cap engages. Timed work
+/// on more workers than cores only measures the scheduler
+/// time-slicing them, and a daemon gains nothing from it either.
+pub fn clamp_to_cores(requested: usize) -> CoreClamp {
+    let requested = effective_jobs(requested);
+    let cores = available_cores();
+    let clamp = CoreClamp {
+        requested,
+        effective: requested.min(cores),
+        cores,
+    };
+    if clamp.clamped() {
+        eprintln!(
+            "warning: {} (oversubscription only adds scheduler noise)",
+            clamp.note()
+        );
+    }
+    clamp
 }
 
 /// `Some(n)` for a positive integer (surrounding whitespace allowed),
@@ -242,30 +297,43 @@ impl std::fmt::Display for SubmitError {
 /// a `TaskPool` accepts independent fire-and-forget jobs over time.
 /// Two properties matter for a daemon:
 ///
-/// * **Admission control.** The queue holds at most `queue_depth`
-///   jobs beyond the ones workers are executing; [`TaskPool::try_submit`]
-///   returns [`SubmitError::Full`] instead of blocking or buffering
-///   without bound, so overload is shed at the front door.
+/// * **Admission control.** At most `workers + queue_depth` jobs are
+///   in flight (running or queued); [`TaskPool::try_submit`] returns
+///   [`SubmitError::Full`] beyond that instead of blocking or buffering
+///   without bound, so overload is shed at the front door. The count
+///   is explicit, so an idle pool always admits a job.
 /// * **Graceful drain.** [`TaskPool::shutdown_drain`] closes the
 ///   queue, lets workers finish every job already accepted, and joins
 ///   them — an accepted job is never dropped.
 pub struct TaskPool {
-    tx: Option<std::sync::mpsc::SyncSender<Job>>,
+    tx: Option<mpsc::Sender<Job>>,
+    in_flight: Arc<AtomicUsize>,
+    capacity: usize,
     workers: Vec<std::thread::JoinHandle<()>>,
+}
+
+/// One admitted job's share of the in-flight count, released when the
+/// job finishes, unwinds, or is dropped unrun.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 impl TaskPool {
     /// Pool with `workers` threads (`0` = one per core via
-    /// [`effective_jobs`]) and a queue of at most `queue_depth`
-    /// pending jobs. `queue_depth` of 0 is a rendezvous: a submit is
-    /// admitted only when a worker is ready to take it immediately.
+    /// [`effective_jobs`]) and room for `queue_depth` pending jobs
+    /// beyond the ones the workers are running. With `queue_depth` 0 a
+    /// submit is admitted only while some worker is free.
     pub fn new(workers: usize, queue_depth: usize) -> TaskPool {
         let workers = effective_jobs(workers);
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Job>(queue_depth);
-        let rx = std::sync::Arc::new(Mutex::new(rx));
+        let (tx, rx) = mpsc::channel::<Job>();
+        let rx = Arc::new(Mutex::new(rx));
         let handles = (0..workers)
             .map(|_| {
-                let rx = std::sync::Arc::clone(&rx);
+                let rx = Arc::clone(&rx);
                 std::thread::spawn(move || loop {
                     // Hold the lock only for the dequeue, never while
                     // running the job.
@@ -283,6 +351,8 @@ impl TaskPool {
             .collect();
         TaskPool {
             tx: Some(tx),
+            in_flight: Arc::new(AtomicUsize::new(0)),
+            capacity: workers + queue_depth,
             workers: handles,
         }
     }
@@ -292,18 +362,26 @@ impl TaskPool {
         self.workers.len()
     }
 
-    /// Submit a job without blocking. `Err(Full)` when the bounded
-    /// queue is at capacity, `Err(ShuttingDown)` after
-    /// [`TaskPool::shutdown_drain`] began.
+    /// Submit a job without blocking. `Err(Full)` when
+    /// `workers + queue_depth` jobs are already in flight,
+    /// `Err(ShuttingDown)` after [`TaskPool::shutdown_drain`] began.
     pub fn try_submit<F: FnOnce() + Send + 'static>(&self, job: F) -> Result<(), SubmitError> {
-        use std::sync::mpsc::TrySendError;
         let Some(tx) = self.tx.as_ref() else {
             return Err(SubmitError::ShuttingDown);
         };
-        tx.try_send(Box::new(job)).map_err(|e| match e {
-            TrySendError::Full(_) => SubmitError::Full,
-            TrySendError::Disconnected(_) => SubmitError::ShuttingDown,
-        })
+        // Reserve the slot before sending, so concurrent submitters
+        // can never push the count past capacity.
+        self.in_flight
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < self.capacity).then_some(n + 1)
+            })
+            .map_err(|_| SubmitError::Full)?;
+        let slot = Slot(Arc::clone(&self.in_flight));
+        tx.send(Box::new(move || {
+            let _slot = slot;
+            job();
+        }))
+        .map_err(|_| SubmitError::ShuttingDown)
     }
 
     /// Stop accepting work, let the workers drain every queued job,
@@ -495,6 +573,58 @@ mod tests {
         assert!(saw_full, "a busy 1-worker rendezvous pool must shed load");
         release_tx.send(()).unwrap();
         pool.shutdown_drain();
+    }
+
+    #[test]
+    fn task_pool_admits_exactly_workers_plus_queue_depth() {
+        let pool = TaskPool::new(2, 3);
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = Arc::new(Mutex::new(release_rx));
+        let (parked_tx, parked_rx) = mpsc::channel::<()>();
+        for _ in 0..2 {
+            let (parked_tx, release_rx) = (parked_tx.clone(), Arc::clone(&release_rx));
+            pool.try_submit(move || {
+                parked_tx.send(()).unwrap();
+                release_rx.lock().unwrap().recv().unwrap();
+            })
+            .unwrap();
+        }
+        parked_rx.recv().unwrap();
+        parked_rx.recv().unwrap(); // both workers busy
+        for _ in 0..3 {
+            pool.try_submit(|| {}).expect("queue has room");
+        }
+        assert_eq!(pool.try_submit(|| {}), Err(SubmitError::Full));
+        release_tx.send(()).unwrap();
+        release_tx.send(()).unwrap();
+        while pool.in_flight.load(Ordering::Acquire) > 0 {
+            std::thread::yield_now();
+        }
+        for _ in 0..5 {
+            pool.try_submit(|| {}).expect("a drained pool admits again");
+        }
+        pool.shutdown_drain();
+    }
+
+    #[test]
+    fn core_clamp_caps_at_cores_and_records_why() {
+        let cores = available_cores();
+        let c = clamp_to_cores(cores + 3);
+        assert_eq!(
+            (c.requested, c.effective, c.cores),
+            (cores + 3, cores, cores)
+        );
+        assert!(c.clamped());
+        assert_eq!(
+            c.note(),
+            format!(
+                "requested {} worker(s) clamped to {cores} ({cores} core(s) available)",
+                cores + 3
+            )
+        );
+        let c = clamp_to_cores(1);
+        assert!(!c.clamped());
+        assert_eq!(c.note(), format!("1 worker(s) on {cores} core(s)"));
     }
 
     #[test]

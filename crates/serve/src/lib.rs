@@ -31,4 +31,4 @@ pub use cache::{ContentKey, HotCache};
 pub use client::{request, Response};
 pub use codec::{CodecError, Event, Request, MAX_FRAME};
 pub use ops::OpError;
-pub use server::{clamp_workers, serve, ServerConfig, ServerHandle};
+pub use server::{serve, ServerConfig, ServerHandle};

@@ -124,26 +124,9 @@ impl ServerHandle {
     }
 }
 
-/// Effective worker count for a request: the table4-bench clamp shape —
-/// never oversubscribe physical cores, warn once on stderr.
-pub fn clamp_workers(requested: usize) -> (usize, usize, usize) {
-    let requested = jepo_pool::effective_jobs(requested);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let effective = requested.min(cores);
-    if effective < requested {
-        eprintln!(
-            "jepo serve: clamping {requested} workers to {cores} available core(s) \
-             to avoid oversubscription"
-        );
-    }
-    (requested, effective, cores)
-}
-
 /// Bind and start the daemon. Returns once the listener is live.
 pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
-    let (_requested, workers, _cores) = clamp_workers(config.workers);
+    let workers = jepo_pool::clamp_to_cores(config.workers).effective;
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
