@@ -76,21 +76,24 @@ fn corpus_profile_is_bit_identical_across_engines() {
 
 /// Same comparison with telemetry on: the masked Chrome trace (span
 /// tree, names, sequence — everything except wall-clock/energy noise)
-/// must be identical under both engines.
+/// must be identical under both engines. The trace goes to a private
+/// tracer: the outer track routes the profiler's own tracks into it, so
+/// sibling tests running on other threads cannot write into them.
 #[test]
 fn masked_trace_is_identical_across_engines() {
-    let tracer = jepo_trace::Tracer::global();
+    let tracer = jepo_trace::Tracer::new();
     tracer.enable();
     let mut masked = Vec::new();
     for dispatch in [Dispatch::Legacy, Dispatch::Decoded, Dispatch::Ir] {
         tracer.clear();
-        let _report = profile_with(dispatch);
+        {
+            let _route = tracer.track("test");
+            let _report = profile_with(dispatch);
+        }
         let json = tracer.export_chrome(false);
         jepo_trace::validate::validate_chrome(&json).expect("trace validates");
         masked.push(jepo_trace::validate::masked_content(&json));
     }
-    tracer.disable();
-    tracer.clear();
     assert_eq!(masked[0], masked[1], "masked trace diverged (decoded)");
     assert_eq!(masked[0], masked[2], "masked trace diverged (ir)");
 }

@@ -106,7 +106,7 @@ impl Classifier for IBk {
         self.nominal = self
             .feats
             .iter()
-            .map(|&f| matches!(data.attributes[f].kind, AttributeKind::Nominal(_)))
+            .map(|&f| matches!(data.attributes()[f].kind, AttributeKind::Nominal(_)))
             .collect();
         self.norms = self
             .feats

@@ -87,7 +87,7 @@ impl Classifier for KStar {
         self.kinds = self
             .feats
             .iter()
-            .map(|&f| match &data.attributes[f].kind {
+            .map(|&f| match &data.attributes()[f].kind {
                 AttributeKind::Nominal(l) => Some(l.len()),
                 AttributeKind::Numeric => None,
             })

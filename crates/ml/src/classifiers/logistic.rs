@@ -202,7 +202,7 @@ impl Encoder {
         let mut kinds = Vec::new();
         for &f in &feats {
             offsets.push(dim);
-            match &data.attributes[f].kind {
+            match &data.attributes()[f].kind {
                 AttributeKind::Numeric => {
                     dim += 1;
                     kinds.push((true, 0));

@@ -64,7 +64,7 @@ impl Classifier for NaiveBayes {
             // NB's estimator pass is instance-major (sequential) in
             // WEKA, so the traversal-order suggestion barely touches it.
             self.kernel.charge_sequential_scan(data.len());
-            let model = match &data.attributes[attr].kind {
+            let model = match &data.attributes()[attr].kind {
                 AttributeKind::Numeric => {
                     let mut sums = vec![0.0; k];
                     let mut sqs = vec![0.0; k];

@@ -50,25 +50,20 @@ impl RandomForest {
 
     fn bootstrap(&self, data: &Dataset, rng: &mut StdRng) -> Dataset {
         let n = data.len();
-        let mut out = Dataset {
-            relation: data.relation.clone(),
-            attributes: data.attributes.clone(),
-            class_index: data.class_index,
-            instances: Vec::with_capacity(n),
-        };
-        let mut buf = Vec::new();
+        let mut rows = Vec::with_capacity(n);
         for _ in 0..n {
             let i = rng.gen_range(0..n);
             // The bagging copy: the hot allocation/copy path JEPO's
             // arrays-copy suggestion hits in WEKA's Bagging.
-            self.kernel.copy(&data.instances[i], &mut buf);
-            out.instances.push(buf.clone());
+            let mut row = Vec::new();
+            self.kernel.copy(&data.instances[i], &mut row);
+            rows.push(row);
         }
         // Bagging's shared bookkeeping (out-of-bag bitmap, the static
         // progress counter the baseline code keeps) is touched per
         // resampling block, not per draw.
         self.kernel.bump_counters(n as u64 / 6);
-        out
+        data.with_rows(rows)
     }
 }
 
@@ -175,6 +170,22 @@ mod tests {
         f.n_trees = 5;
         f.fit(&data).unwrap();
         assert_eq!(f.tree_count(), 5);
+    }
+
+    #[test]
+    fn bootstrap_shares_the_schema_and_counts_one_copy_per_draw() {
+        use jepo_rapl::OpCategory;
+        let kernel = Kernel::new(crate::EfficiencyProfile::baseline());
+        let data = AirlinesGenerator::new(17).generate(100);
+        let forest = RandomForest::with_kernel(kernel.clone(), 3);
+        let sample = forest.bootstrap(&data, &mut StdRng::seed_from_u64(3));
+        assert!(std::sync::Arc::ptr_eq(&data.schema, &sample.schema));
+        assert_eq!(sample.len(), data.len());
+        assert!(sample.instances.iter().all(|r| data.instances.contains(r)));
+        drop(forest);
+        // One counted copy per drawn row, nothing else.
+        let copied = kernel.snapshot().get(OpCategory::ArrayCopyElem);
+        assert_eq!(copied, (data.len() * data.num_attributes()) as u64);
     }
 
     #[test]

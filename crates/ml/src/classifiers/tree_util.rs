@@ -178,7 +178,7 @@ pub fn evaluate_attribute(data: &Dataset, attr: usize, kernel: &Kernel) -> Optio
     let row_bytes = data.num_attributes() * 8;
     kernel.charge_attribute_scan(data.len(), row_bytes);
     let parent = entropy(&class_distribution(data), kernel);
-    match &data.attributes[attr].kind {
+    match &data.attributes()[attr].kind {
         AttributeKind::Nominal(labels) => {
             let mut dists = vec![vec![0.0; data.num_classes()]; labels.len()];
             let mut counts = vec![0.0; labels.len()];
@@ -295,7 +295,7 @@ pub fn apply_split(data: &Dataset, split: &Split) -> Vec<Dataset> {
             vec![le, gt]
         }
         None => {
-            let labels = data.attributes[split.attr].cardinality();
+            let labels = data.attributes()[split.attr].cardinality();
             let mut groups: Vec<Vec<usize>> = vec![Vec::new(); labels];
             for i in 0..data.len() {
                 let v = data.instances[i][split.attr];

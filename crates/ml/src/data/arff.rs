@@ -81,13 +81,9 @@ pub fn parse(text: &str) -> Result<Dataset, MlError> {
             instances.push(row);
         }
     }
-    let class_index = attributes.len().saturating_sub(1);
-    Ok(Dataset {
-        relation,
-        attributes,
-        class_index,
-        instances,
-    })
+    let mut data = Dataset::new(&relation, attributes);
+    data.instances = instances;
+    Ok(data)
 }
 
 fn parse_attribute(line: &str, lineno: usize) -> Result<Attribute, MlError> {
@@ -135,8 +131,8 @@ fn parse_attribute(line: &str, lineno: usize) -> Result<Attribute, MlError> {
 /// Serialize a dataset to ARFF.
 pub fn write(d: &Dataset) -> String {
     let mut out = String::new();
-    out.push_str(&format!("@relation '{}'\n\n", d.relation));
-    for a in &d.attributes {
+    out.push_str(&format!("@relation '{}'\n\n", d.relation()));
+    for a in d.attributes() {
         match &a.kind {
             AttributeKind::Numeric => out.push_str(&format!("@attribute '{}' numeric\n", a.name)),
             AttributeKind::Nominal(labels) => {
@@ -152,7 +148,7 @@ pub fn write(d: &Dataset) -> String {
     for row in &d.instances {
         let fields: Vec<String> = row
             .iter()
-            .zip(&d.attributes)
+            .zip(d.attributes())
             .map(|(v, a)| {
                 if v.is_nan() {
                     "?".to_string()
@@ -190,7 +186,7 @@ DL,?,0
     #[test]
     fn parses_relation_attributes_and_data() {
         let d = parse(SAMPLE).unwrap();
-        assert_eq!(d.relation, "airlines");
+        assert_eq!(d.relation(), "airlines");
         assert_eq!(d.num_attributes(), 3);
         assert_eq!(d.len(), 3);
         assert_eq!(d.instances[0], vec![0.0, 120.0, 0.0]);
@@ -204,8 +200,8 @@ DL,?,0
         let d = parse(SAMPLE).unwrap();
         let text = write(&d);
         let d2 = parse(&text).unwrap();
-        assert_eq!(d.relation, d2.relation);
-        assert_eq!(d.attributes, d2.attributes);
+        assert_eq!(d.relation(), d2.relation());
+        assert_eq!(d.attributes(), d2.attributes());
         assert_eq!(d.len(), d2.len());
         assert_eq!(d.instances[0], d2.instances[0]);
         assert!(d2.instances[2][1].is_nan());
@@ -226,6 +222,6 @@ DL,?,0
             "@relation r\n@attribute 'Airport From' {A,B}\n@attribute 'Delay' {0,1}\n@data\nA,1\n",
         )
         .unwrap();
-        assert_eq!(d.attributes[0].name, "Airport From");
+        assert_eq!(d.attributes()[0].name, "Airport From");
     }
 }

@@ -3,15 +3,27 @@
 use super::attribute::{Attribute, AttributeKind};
 use crate::MlError;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
-/// A dataset: schema + dense instance rows. Nominal values are stored as
-/// label indices; missing values as `NaN`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Dataset {
+/// The immutable half of a dataset: relation name and attribute schema.
+/// Every subset of a dataset shares its parent's `Schema` through one
+/// `Arc`, so slicing rows (tree splits, CV folds, bootstrap samples)
+/// never copies the label strings; the airlines schema alone holds
+/// ~600 of them.
+#[derive(Debug, PartialEq)]
+pub struct Schema {
     /// Relation name (ARFF `@relation`).
     pub relation: String,
     /// Attribute schema, class attribute included.
     pub attributes: Vec<Attribute>,
+}
+
+/// A dataset: shared schema + dense instance rows. Nominal values are
+/// stored as label indices; missing values as `NaN`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Dataset {
+    /// Relation name and attributes, shared with every subset.
+    pub schema: Arc<Schema>,
     /// Index of the class attribute.
     pub class_index: usize,
     /// Row-major instance values.
@@ -23,20 +35,41 @@ impl Dataset {
     pub fn new(relation: &str, attributes: Vec<Attribute>) -> Dataset {
         let class_index = attributes.len().saturating_sub(1);
         Dataset {
-            relation: relation.to_string(),
-            attributes,
+            schema: Arc::new(Schema {
+                relation: relation.to_string(),
+                attributes,
+            }),
             class_index,
             instances: Vec::new(),
         }
     }
 
+    /// A dataset over this one's schema and class with the given rows.
+    pub fn with_rows(&self, instances: Vec<Vec<f64>>) -> Dataset {
+        Dataset {
+            schema: Arc::clone(&self.schema),
+            class_index: self.class_index,
+            instances,
+        }
+    }
+
+    /// Relation name.
+    pub fn relation(&self) -> &str {
+        &self.schema.relation
+    }
+
+    /// Attribute schema, class attribute included.
+    pub fn attributes(&self) -> &[Attribute] {
+        &self.schema.attributes
+    }
+
     /// Add an instance (must match the schema length).
     pub fn push(&mut self, row: Vec<f64>) -> Result<(), MlError> {
-        if row.len() != self.attributes.len() {
+        if row.len() != self.num_attributes() {
             return Err(MlError::Data(format!(
                 "row has {} values, schema has {}",
                 row.len(),
-                self.attributes.len()
+                self.num_attributes()
             )));
         }
         self.instances.push(row);
@@ -55,12 +88,12 @@ impl Dataset {
 
     /// Number of attributes (class included).
     pub fn num_attributes(&self) -> usize {
-        self.attributes.len()
+        self.attributes().len()
     }
 
     /// Number of class labels.
     pub fn num_classes(&self) -> usize {
-        self.attributes[self.class_index].cardinality().max(1)
+        self.attributes()[self.class_index].cardinality().max(1)
     }
 
     /// Class value of instance `i`.
@@ -70,7 +103,7 @@ impl Dataset {
 
     /// Attribute indices excluding the class.
     pub fn feature_indices(&self) -> Vec<usize> {
-        (0..self.attributes.len())
+        (0..self.num_attributes())
             .filter(|&i| i != self.class_index)
             .collect()
     }
@@ -98,14 +131,9 @@ impl Dataset {
             .unwrap_or(0.0)
     }
 
-    /// Sub-dataset from row indices (copies rows).
+    /// Sub-dataset from row indices (copies rows, shares the schema).
     pub fn subset(&self, idxs: &[usize]) -> Dataset {
-        Dataset {
-            relation: self.relation.clone(),
-            attributes: self.attributes.clone(),
-            class_index: self.class_index,
-            instances: idxs.iter().map(|&i| self.instances[i].clone()).collect(),
-        }
+        self.with_rows(idxs.iter().map(|&i| self.instances[i].clone()).collect())
     }
 
     /// Split rows into `(first, second)` by a predicate on the row index.
@@ -125,7 +153,7 @@ impl Dataset {
         let mut offsets = Vec::with_capacity(feats.len());
         for &f in &feats {
             offsets.push(dim);
-            dim += match &self.attributes[f].kind {
+            dim += match &self.attributes()[f].kind {
                 AttributeKind::Numeric => 1,
                 AttributeKind::Nominal(l) => l.len(),
             };
@@ -134,7 +162,7 @@ impl Dataset {
         let mut means = vec![0.0; feats.len()];
         let mut stds = vec![1.0; feats.len()];
         for (k, &f) in feats.iter().enumerate() {
-            if self.attributes[f].is_numeric() && !self.is_empty() {
+            if self.attributes()[f].is_numeric() && !self.is_empty() {
                 let n = self.len() as f64;
                 let mean = self.instances.iter().map(|r| r[f]).sum::<f64>() / n;
                 let var = self
@@ -152,7 +180,7 @@ impl Dataset {
         for r in &self.instances {
             let mut x = vec![0.0; dim];
             for (k, &f) in feats.iter().enumerate() {
-                match &self.attributes[f].kind {
+                match &self.attributes()[f].kind {
                     AttributeKind::Numeric => x[offsets[k]] = (r[f] - means[k]) / stds[k],
                     AttributeKind::Nominal(l) => {
                         let v = r[f] as usize;

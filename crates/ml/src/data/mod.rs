@@ -6,4 +6,4 @@ pub mod attribute;
 pub mod dataset;
 
 pub use attribute::{Attribute, AttributeKind};
-pub use dataset::Dataset;
+pub use dataset::{Dataset, Schema};

@@ -40,6 +40,12 @@ pub fn stratified_folds(data: &Dataset, k: usize, seed: u64) -> Vec<usize> {
     fold_of
 }
 
+/// The `(test, train)` sets of one fold of a [`stratified_folds`]
+/// assignment. Both share `data`'s schema.
+pub fn fold_sets(data: &Dataset, fold_of: &[usize], fold: usize) -> (Dataset, Dataset) {
+    data.partition(|i| fold_of[i] == fold)
+}
+
 /// Run stratified k-fold cross-validation, building a fresh classifier
 /// per fold via `make`. Returns the aggregated evaluation.
 pub fn stratified_cross_validate<C: Classifier>(
@@ -51,7 +57,7 @@ pub fn stratified_cross_validate<C: Classifier>(
     let fold_of = stratified_folds(data, k, seed);
     let mut eval = Evaluation::new(data.num_classes());
     for fold in 0..k {
-        let (test, train) = data.partition(|i| fold_of[i] == fold);
+        let (test, train) = fold_sets(data, &fold_of, fold);
         if train.is_empty() || test.is_empty() {
             continue;
         }
@@ -89,7 +95,7 @@ pub fn stratified_cross_validate_jobs<C: Classifier>(
     let per_fold = jepo_pool::parallel_map(&folds, jobs, |_, &fold| {
         let kernel = Kernel::new(profile);
         let mut eval = Evaluation::new(data.num_classes());
-        let (test, train) = data.partition(|i| fold_of[i] == fold);
+        let (test, train) = fold_sets(data, &fold_of, fold);
         if !train.is_empty() && !test.is_empty() {
             let mut clf = make(kernel.clone());
             if clf.fit(&train).is_ok() {

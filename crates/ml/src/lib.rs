@@ -40,6 +40,6 @@ pub mod eval;
 pub mod ops;
 
 pub use classifiers::Classifier;
-pub use data::{Attribute, AttributeKind, Dataset};
+pub use data::{Attribute, AttributeKind, Dataset, Schema};
 pub use error::MlError;
 pub use ops::{EfficiencyProfile, Kernel, Layout, Precision};

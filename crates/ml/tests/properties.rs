@@ -52,7 +52,7 @@ proptest! {
     fn arff_roundtrip(d in small_dataset()) {
         let text = arff::write(&d);
         let back = arff::parse(&text).unwrap();
-        prop_assert_eq!(&d.attributes, &back.attributes);
+        prop_assert_eq!(d.attributes(), back.attributes());
         prop_assert_eq!(d.len(), back.len());
         for (a, b) in d.instances.iter().zip(&back.instances) {
             for (x, y) in a.iter().zip(b) {
